@@ -1,7 +1,9 @@
 // qsense-calibrate reports this machine's characteristics for the fence
-// cost model (DESIGN.md §2): the calibrated spin-loop rate, the measured
-// cost of atomic publication (what every scheme pays per hazard pointer
-// store in Go), and the effective cost of fenced publication at several
+// cost model (README.md, "Hazard-pointer publication and the rooster"):
+// the calibrated spin-loop rate, the measured cost of an atomic store and
+// of Cadence/QSense's fence-free publication (fence.Publish, in whichever
+// mode this process runs), the cost of one rooster-pass barrier
+// (fence.Heavy), and the effective cost of fenced publication at several
 // modeled fence latencies. Use it to pick a -fence value comparable to the
 // mfence penalty on hardware you care about.
 package main
@@ -25,8 +27,22 @@ func main() {
 	for i := 0; i < n; i++ {
 		slot.Store(uint64(i))
 	}
-	per := time.Since(t0) / n
-	fmt.Printf("atomic store (unfenced publication, Cadence/QSense): %v\n", per)
+	fmt.Printf("atomic store: %v\n", time.Since(t0)/n)
+
+	t0 = time.Now()
+	for i := 0; i < n; i++ {
+		fence.Publish(&slot, uint64(i))
+	}
+	// Fractional ns: a plain store costs well under one.
+	fmt.Printf("fence-free publication (Cadence/QSense, asymmetric=%v): %.2fns\n",
+		fence.Asymmetric(), float64(time.Since(t0).Nanoseconds())/n)
+
+	const passes = 1000
+	t0 = time.Now()
+	for i := 0; i < passes; i++ {
+		fence.Heavy()
+	}
+	fmt.Printf("rooster-pass barrier (fence.Heavy, asymmetric=%v): %v\n", fence.Asymmetric(), time.Since(t0)/passes)
 
 	for _, cost := range []time.Duration{0, 10 * time.Nanosecond, fence.DefaultCost, 50 * time.Nanosecond, 100 * time.Nanosecond} {
 		m := fence.NewModel(cost)
@@ -37,5 +53,5 @@ func main() {
 		}
 		fmt.Printf("fenced publication, model %-6v (classic HP): %v\n", cost, time.Since(t0)/n)
 	}
-	fmt.Printf("\ndefault fence model: %v (see DESIGN.md §2 for the rationale)\n", fence.DefaultCost)
+	fmt.Printf("\ndefault fence model: %v (see README.md, \"Hazard-pointer publication and the rooster\")\n", fence.DefaultCost)
 }

@@ -3,7 +3,9 @@
 // that a naive QSBR/HP hybrid (hazard pointers published without fences,
 // reclamation without deferral) frees memory a validated reader is about to
 // use — and that either the classic fence or Cadence's rooster-plus-deferral
-// eliminates the violation in all interleavings.
+// eliminates the violation in all interleavings, including the
+// implementation's form of the rooster pass: one process-wide membarrier,
+// then the pending-to-shared copy, then the tick.
 package main
 
 import (
@@ -33,6 +35,10 @@ func main() {
 			"no reader fence; a full rooster pass after removal makes all prior HP stores visible (Figure 4)"},
 		{"cadence without deferral (ablation)", tso.CadenceNoDeferralSystem(), true,
 			"the rooster alone is not enough: scanning before a full pass misses buffered HPs"},
+		{"cadence, one membarrier per rooster pass", tso.CadenceMembarrierSystem(), false,
+			"the implementation's asymmetric mode: plain HP stores, each pass drains every buffer, then copies pending to shared"},
+		{"cadence, passes without membarrier (ablation)", tso.CadenceNoMembarrierSystem(), true,
+			"copy-and-tick alone reads a pending slot the buffered HP store has not reached"},
 	}
 
 	fail := false

@@ -320,10 +320,10 @@ func (h *leasedMap) Get(key int64) ([]byte, bool) { return h.ops.GetAppend(key, 
 func (h *leasedMap) GetAppend(key int64, dst []byte) ([]byte, bool) {
 	return h.ops.GetAppend(key, dst)
 }
-func (h *leasedMap) Put(key int64, val []byte) bool        { return h.ops.PutBytes(key, val) }
-func (h *leasedMap) PutUint64(key int64, val uint64) bool  { return h.ops.Put(key, val) }
-func (h *leasedMap) GetUint64(key int64) (uint64, bool)    { return h.ops.Get(key) }
-func (h *leasedMap) Delete(key int64) bool                 { return h.ops.Delete(key) }
+func (h *leasedMap) Put(key int64, val []byte) bool       { return h.ops.PutBytes(key, val) }
+func (h *leasedMap) PutUint64(key int64, val uint64) bool { return h.ops.Put(key, val) }
+func (h *leasedMap) GetUint64(key int64) (uint64, bool)   { return h.ops.Get(key) }
+func (h *leasedMap) Delete(key int64) bool                { return h.ops.Delete(key) }
 
 // Release implements MapHandle (see leasedSet.Release for the once-flag
 // rationale).

@@ -1,21 +1,33 @@
-// Package fence models the cost of memory-barrier instructions.
+// Package fence holds the repository's two answers to the paper's fence
+// argument: a real, asymmetric fence for the fence-free hazard-pointer
+// schemes, and a latency model for the fence classic hazard pointers pay.
 //
 // The paper's central performance argument is that the classic hazard
 // pointer scheme pays an mfence-class instruction ("hundreds of processor
 // cycles", §3.2) after every hazard pointer store during traversal, while
-// Cadence's stores need no fence. Go complicates a literal reproduction: a
-// sync/atomic store is already sequentially consistent (XCHG on amd64), so
-// the *ordering* a fence would provide is inherent and the relative latency
-// gap between a fenced and an unfenced publication collapses.
+// Cadence's stores need no fence, because the rooster's context switch
+// drains every core's store buffer (§5.1).
 //
-// This package therefore restores the gap with an explicit latency model: a
-// Model represents a fence cost in nanoseconds, paid as a calibrated
-// busy-spin by schemes that fence (classic HP), and not paid by schemes that
-// do not (Cadence, QSense). The default of 50ns corresponds to ~100 cycles
-// on the paper's 2.1 GHz testbed — the low end of "hundreds of processor
-// cycles" (§3.2) — so the reproduced HP penalty is, if anything,
-// understated. DESIGN.md §2 and EXPERIMENTS.md discuss the substitution and
-// its observable effects.
+// Asymmetric publication (publish.go) makes the Cadence and QSense side
+// literal. Publish is a plain store on linux/amd64 builds without the race
+// detector when the kernel accepts a membarrier(2) private-expedited
+// registration, and an atomic store otherwise. Heavy is the rooster's half:
+// one process-wide membarrier per pass, which drains every store buffer the
+// plain stores may sit in. The mode is chosen once, at package
+// initialization; Asymmetric reports it. README.md, "Hazard-pointer
+// publication and the rooster", gives the safety argument.
+//
+// Classic HP keeps its modeled fence. Go complicates a literal
+// reproduction there: a sync/atomic store is already sequentially
+// consistent (XCHG on amd64), so the *ordering* a fence would provide is
+// inherent and the relative latency gap between a fenced and an unfenced
+// publication collapses. A Model therefore represents a fence cost in
+// nanoseconds, paid as a calibrated busy-spin by the schemes that fence
+// (classic HP), and not paid by the schemes that do not (Cadence, QSense).
+// The default of 50ns corresponds to ~100 cycles on the paper's 2.1 GHz
+// testbed — the low end of "hundreds of processor cycles" (§3.2) — so the
+// reproduced HP penalty is, if anything, understated. The cost is modeled,
+// not measured.
 package fence
 
 import (

@@ -10,6 +10,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"qsense/internal/fence"
 )
 
 // BenchJSON is the machine-readable form of a scalability experiment that
@@ -18,14 +20,19 @@ import (
 // CI can archive results as artifacts and a perf trajectory can be plotted
 // across commits without re-parsing the human tables.
 type BenchJSON struct {
-	Experiment string            `json:"experiment"`
-	DS         string            `json:"ds"`
-	KeyRange   int64             `json:"key_range"`
-	UpdatePct  int               `json:"update_pct"`
-	DurationMS int64             `json:"duration_ms"`
-	GoMaxProcs int               `json:"gomaxprocs"`
-	Curves     []BenchCurveJSON  `json:"curves"`
-	Extra      map[string]string `json:"extra,omitempty"`
+	Experiment string `json:"experiment"`
+	DS         string `json:"ds"`
+	KeyRange   int64  `json:"key_range"`
+	UpdatePct  int    `json:"update_pct"`
+	DurationMS int64  `json:"duration_ms"`
+	GoMaxProcs int    `json:"gomaxprocs"`
+	// AsymmetricPublication records which path produced the numbers:
+	// true when Cadence and QSense published hazard pointers with plain
+	// stores and one membarrier per rooster pass, false when with atomic
+	// stores (fence.Asymmetric). The writers fill it in; callers need not.
+	AsymmetricPublication bool              `json:"asymmetric_publication"`
+	Curves                []BenchCurveJSON  `json:"curves"`
+	Extra                 map[string]string `json:"extra,omitempty"`
 }
 
 // BenchCurveJSON is one scheme's series in BenchJSON.
@@ -63,6 +70,7 @@ type BenchPointJSON struct {
 
 // WriteCurvesJSON emits a scalability experiment as indented JSON.
 func WriteCurvesJSON(w io.Writer, meta BenchJSON, curves []Curve) error {
+	meta.AsymmetricPublication = fence.Asymmetric()
 	for _, c := range curves {
 		jc := BenchCurveJSON{Scheme: c.Scheme}
 		for _, p := range c.Points {
@@ -146,9 +154,10 @@ type RobustnessPoint struct {
 // Mops carries the pending-node count.
 func WriteRobustnessJSON(w io.Writer, series []RobustnessSeries) error {
 	meta := BenchJSON{
-		Experiment: "robustness",
-		DS:         "fault-matrix",
-		GoMaxProcs: runtime.GOMAXPROCS(0),
+		Experiment:            "robustness",
+		DS:                    "fault-matrix",
+		GoMaxProcs:            runtime.GOMAXPROCS(0),
+		AsymmetricPublication: fence.Asymmetric(),
 		Extra: map[string]string{
 			"series": "pending_vs_time",
 			"x":      "elapsed_ms",

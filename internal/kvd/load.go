@@ -82,9 +82,9 @@ func dialRetry(target string, attempts int, rng *workload.RNG) (net.Conn, error)
 // per-op latency distribution, and the server's reclamation counters
 // fetched over STATS after the last phase.
 type LoadResult struct {
-	Conns    int
-	Ops      uint64
-	Errs     uint64
+	Conns int
+	Ops   uint64
+	Errs  uint64
 	// BadValues counts GET replies that failed payload verification — a
 	// nonzero count means the server returned torn or freed value bytes.
 	BadValues uint64

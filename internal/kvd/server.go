@@ -554,6 +554,7 @@ func statsFields(st qsense.Stats) []statKV {
 		{"r_retunes", int64(st.RRetunes)},
 		{"c_retunes", int64(st.CRetunes)},
 		{"rooster_passes", int64(st.RoosterPasses)},
+		{"asymmetric_publication", b2i(st.AsymmetricPublication)},
 		{"ibr_interval_width", int64(st.IBRIntervalWidth)},
 		{"hyaline_batch_refs", st.HyalineBatchRefs},
 		{"shards", int64(st.Shards)},

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"qsense/internal/fence"
 	"qsense/internal/resp"
 	"qsense/internal/workload"
 )
@@ -134,6 +135,15 @@ func TestServerCommands(t *testing.T) {
 			}
 			if st["value_bytes"] != 0 || st["value_spilled"] != 0 {
 				t.Fatalf("value gauges not drained: %v", st)
+			}
+			// Which publication path the hazard pointers took: 1 only
+			// for qsense, and only where fence registered plain stores.
+			wantAsym := int64(0)
+			if scheme == "qsense" && fence.Asymmetric() {
+				wantAsym = 1
+			}
+			if got, ok := st["asymmetric_publication"]; !ok || got != wantAsym {
+				t.Fatalf("asymmetric_publication = %d (present %v), want %d", got, ok, wantAsym)
 			}
 			// QUIT closes after the reply.
 			if rp := cl.do(t, "QUIT"); rp.Str != "OK" {

@@ -3,6 +3,7 @@ package reclaim
 import (
 	"context"
 
+	"qsense/internal/fence"
 	"qsense/internal/mem"
 	"qsense/internal/rooster"
 )
@@ -13,11 +14,16 @@ import (
 // Two mechanisms replace the fence:
 //
 //  1. Rooster passes. Protect publishes into the guard's pending slots with
-//     a bare store; the rooster manager copies pending into the shared slots
-//     every interval T. A hazard pointer therefore becomes visible to scans
-//     at most one full pass after it is stored — the analog of the paper's
-//     context-switch-drains-store-buffer argument. The domain registers one
-//     flush target (recFlusher) that walks the occupancy index, so a pass
+//     fence.Publish: a plain store wherever the process registered for
+//     asymmetric fences, an atomic store otherwise. Every interval T the
+//     rooster manager issues one process-wide membarrier (fence.Heavy),
+//     which drains every core's store buffer, and then copies pending into
+//     the shared slots. A hazard pointer therefore becomes visible to scans
+//     at most one full pass after it is stored — the paper's
+//     context-switch-drains-store-buffer argument, with the kernel's
+//     barrier as the context switch (README.md, "Hazard-pointer
+//     publication and the rooster"). The domain registers one flush target
+//     (recFlusher) per shard that walks the occupancy index, so a pass
 //     flushes only live records however large the arena once grew.
 //  2. Deferred reclamation. Retire stamps the node with the current rooster
 //     tick; scan only frees nodes whose stamp is at least two completed
@@ -157,7 +163,7 @@ func (d *Cadence) Failed() bool { return d.cnt.failed.Load() }
 
 // Stats implements Domain.
 func (d *Cadence) Stats() Stats {
-	s := Stats{Scheme: "cadence", RoosterPasses: d.mgr.Tick()}
+	s := Stats{Scheme: "cadence", RoosterPasses: d.mgr.Tick(), AsymmetricPublication: fence.Asymmetric()}
 	d.cnt.fill(&s, d.slots, func(i int) *tally { return &d.guards.at(i).tally })
 	d.slots.fillArena(&s)
 	return s
@@ -184,7 +190,8 @@ func (d *Cadence) Close() {
 func (g *cadenceGuard) Begin() {}
 
 // Protect publishes without a fence (Algorithm 3, assign_HP: "No need for a
-// memory barrier here").
+// memory barrier here"): a plain store in asymmetric mode, which the next
+// rooster pass's membarrier makes visible.
 func (g *cadenceGuard) Protect(i int, r mem.Ref) {
 	g.rec.publishPending(i, r)
 	// Fault point: stalled after the bare-store publication, the reader

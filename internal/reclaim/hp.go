@@ -11,8 +11,10 @@ import (
 //
 // Protect publishes straight to the globally visible slot and then performs
 // a full memory barrier — the per-node fence whose cost (modeled by
-// internal/fence, see DESIGN.md §2) is the scheme's notorious overhead and
-// the paper's motivation for Cadence. Every R retires the guard scans: it
+// internal/fence; README.md, "Hazard-pointer publication and the
+// rooster") is the scheme's notorious overhead and the paper's motivation
+// for Cadence. The modeled spin is unchanged by Cadence and QSense's
+// asymmetric publication, which touches only their pending slots. Every R retires the guard scans: it
 // snapshots the shared hazard pointers of every OCCUPIED slot (the
 // occupancy index of occupancy.go, so scan cost tracks live workers, not
 // the arena's high-water size) and frees the retired nodes not found in the

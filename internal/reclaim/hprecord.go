@@ -4,6 +4,7 @@ import (
 	"sort"
 	"sync/atomic"
 
+	"qsense/internal/fence"
 	"qsense/internal/mem"
 )
 
@@ -18,12 +19,17 @@ type hpSlot struct {
 // hprec is one worker's hazard pointer record.
 //
 // shared is the array scans read — the paper's globally visible HP array.
-// pending models the store buffer: Cadence and QSense publish here without a
-// fence, and only a rooster flush pass copies pending into shared (DESIGN.md
-// §2). Classic HP bypasses pending and stores straight to shared, paying the
-// modeled fence. An unflushed pending entry is invisible to scans, exactly
-// as a fenceless HP store sitting in a TSO store buffer is invisible to a
-// reclaimer on another core.
+// pending is where Cadence and QSense publish, with no fence: a plain store
+// (fence.Publish) wherever the process registered for asymmetric fences,
+// an atomic store otherwise. Only a rooster pass makes pending visible to
+// scans: it issues one process-wide fence.Heavy, then copies pending into
+// shared (FlushHP). A plain-store entry may sit in its core's store buffer
+// until that barrier, and an unflushed entry is invisible to scans either
+// way — exactly the fenceless HP store of the paper, which a reclaimer on
+// another core cannot see before the rooster's context switch. Classic HP
+// bypasses pending and stores straight to shared, paying the modeled
+// fence. README.md, "Hazard-pointer publication and the rooster", has the
+// safety argument.
 //
 // leased mirrors the record's slot lease (slots.go): scans and rooster
 // flushes skip unleased records. An unleased record's slots are all nil
@@ -46,7 +52,7 @@ func newHPRec(k int) *hprec {
 
 // publishPending is the fence-free assign_HP of Cadence/QSense.
 func (h *hprec) publishPending(i int, r mem.Ref) {
-	h.pending[i].v.Store(uint64(r.Untagged()))
+	fence.Publish(&h.pending[i].v, uint64(r.Untagged()))
 }
 
 // publishShared is classic HP's assign_HP minus the fence; the caller pays
@@ -55,7 +61,8 @@ func (h *hprec) publishShared(i int, r mem.Ref) {
 	h.shared[i].v.Store(uint64(r.Untagged()))
 }
 
-// FlushHP copies pending slots into shared slots; called by rooster passes.
+// FlushHP copies pending slots into shared slots; called by rooster passes,
+// after the pass's fence.Heavy has made every earlier publication visible.
 // It also refreshes pending copies into shared for the worker's own later
 // clears: flushing a zero clears the shared slot too, so protections do not
 // outlive their release by more than one pass. Unleased records are skipped
@@ -71,9 +78,11 @@ func (h *hprec) FlushHP() {
 	}
 }
 
+// clearPending is the fence-free clear of every pending slot, published
+// like publishPending.
 func (h *hprec) clearPending() {
 	for i := range h.pending {
-		h.pending[i].v.Store(0)
+		fence.Publish(&h.pending[i].v, 0)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"qsense/internal/fence"
 	"qsense/internal/mem"
 	"qsense/internal/rooster"
 )
@@ -15,7 +16,11 @@ import (
 // Some machinery is always on, whatever the current path (§5.2): hazard
 // pointers are published (fence-free, into pending slots) during every
 // traversal, retired nodes are always stamped with the rooster tick, and the
-// rooster manager keeps flushing pending slots. That standing cost is why
+// rooster manager keeps flushing pending slots. Fence-free means a plain
+// store wherever the process registered for asymmetric fences, with one
+// membarrier per rooster pass draining every core's store buffer before the
+// flush, and an atomic store otherwise (README.md, "Hazard-pointer
+// publication and the rooster"; Stats.AsymmetricPublication reports which). That standing cost is why
 // QSense trails plain QSBR slightly in the common case (§7.3) — and it is
 // what makes an instant, safe switch to the fallback path possible: the
 // moment the fallback flag rises, every reference that was hazardous before
@@ -257,7 +262,8 @@ func (d *QSense) GlobalEpoch() uint64 { return d.epoch.Load() }
 
 // Stats implements Domain.
 func (d *QSense) Stats() Stats {
-	s := Stats{Scheme: "qsense", InFallback: d.fallback.Load(), RoosterPasses: d.mgr.Tick()}
+	s := Stats{Scheme: "qsense", InFallback: d.fallback.Load(), RoosterPasses: d.mgr.Tick(),
+		AsymmetricPublication: fence.Asymmetric()}
 	d.cnt.fill(&s, d.slots, func(i int) *tally { return &d.guards.at(i).tally })
 	d.slots.fillArena(&s)
 	return s

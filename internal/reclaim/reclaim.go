@@ -495,6 +495,12 @@ type Stats struct {
 	InFallback bool
 	// RoosterPasses counts completed rooster flush passes.
 	RoosterPasses uint64
+	// AsymmetricPublication reports that the domain's fence-free hazard
+	// pointers (Cadence, QSense) are plain stores made visible by one
+	// membarrier per rooster pass (fence.Asymmetric), rather than atomic
+	// stores. Always false for the other schemes, which publish no
+	// fence-free hazard pointers.
+	AsymmetricPublication bool
 	// Failed mirrors Domain.Failed.
 	Failed bool
 }

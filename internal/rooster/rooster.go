@@ -3,29 +3,36 @@
 // In the paper, a rooster process is pinned to each core and wakes every T;
 // the context switch it forces drains the switched-out worker's store
 // buffer, so any hazard pointer stored before the switch becomes globally
-// visible. Go offers neither core pinning nor visibility-delayed stores, so
-// this package implements the behavioural analog described in DESIGN.md §2:
-// workers publish hazard pointers into private *pending* slots, and rooster
-// goroutines periodically copy pending slots into the *shared* slots that
-// reclamation scans read. An unflushed hazard pointer is genuinely invisible
-// to scans — the moral equivalent of a store stuck in a store buffer — and
-// the flush pass is the moral equivalent of the context switch.
+// visible. Go offers no core pinning, so a pass here has two steps. First
+// it issues one process-wide fence.Heavy: where the process registered for
+// asymmetric fences, a membarrier(2) that runs a full barrier on every CPU
+// running this process — the context switch's effect on all cores at once
+// — and otherwise nothing, because workers then publish with atomic
+// stores. Second, it copies every worker's private *pending* hazard slots
+// into the *shared* slots that reclamation scans read. An unflushed hazard
+// pointer is invisible to scans — the moral equivalent of a store stuck in
+// a store buffer — and the pass is the moral equivalent of the context
+// switch. README.md, "Hazard-pointer publication and the rooster", sets out
+// both publication modes.
 //
 // Deferred reclamation is expressed in flush passes ("ticks") rather than
 // wall-clock time: a retired node stamped at tick s is old enough once the
 // tick counter reaches s+2+ε. Pass s+2 begins only after pass s+1 completes,
 // and pass s+1 completes after the stamp was taken, so pass s+2 runs
-// entirely after the node was retired and has therefore flushed every hazard
-// pointer stored before the retirement (paper, Figure 4). Unlike wall-clock
-// ages, tick ages are immune to rooster oversleep: a late pass delays
-// reclamation but can never unblock it early, which is exactly the paper's ε
-// tolerance discussion resolved by construction.
+// entirely after the node was retired. Its barrier therefore drains every
+// hazard pointer stored before the retirement, and its flush copies them
+// into the shared slots (paper, Figure 4). Unlike wall-clock ages, tick
+// ages are immune to rooster oversleep: a late pass delays reclamation but
+// can never unblock it early, which is exactly the paper's ε tolerance
+// discussion resolved by construction.
 package rooster
 
 import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"qsense/internal/fence"
 )
 
 // OldEnoughTicks is the minimum number of ticks that must elapse past a
@@ -132,10 +139,11 @@ func (m *Manager) OldEnoughAt(stamp, tick uint64) bool {
 	return tick >= stamp+OldEnoughTicks+uint64(m.cfg.EpsilonTicks)
 }
 
-// Step runs one synchronous rooster pass: flush all targets (split among
-// cfg.Roosters goroutines as the paper splits cores), run due hooks, then
-// advance the tick. Tests drive reclamation deterministically with Step;
-// Start drives it on a timer.
+// Step runs one synchronous rooster pass: issue the process-wide barrier
+// (fence.Heavy), flush all targets (split among cfg.Roosters goroutines as
+// the paper splits cores), run due hooks, then advance the tick. Tests
+// drive reclamation deterministically with Step; Start drives it on a
+// timer.
 func (m *Manager) Step() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -180,6 +188,10 @@ func (m *Manager) passLocked() {
 		r = n
 	}
 	if n > 0 {
+		// Drain every core's store buffer before any flush reads a
+		// pending slot: the flushes below then see every publication
+		// that completed before the pass began.
+		fence.Heavy()
 		if r <= 1 {
 			for _, t := range m.targets {
 				t.FlushHP()

@@ -5,11 +5,12 @@
 // store that has not yet drained is invisible to a reclaimer on another
 // core, and the cure is either an explicit fence (classic HP) or a bounded
 // wait for a context switch (Cadence's rooster processes). Go has no
-// relaxed stores, no fences, and no visibility delay, so the repository
-// carries two substitutes (DESIGN.md §2): internal/tso, a small
-// model checker that explores interleavings of hand-written litmus
-// programs, and this package, a full machine on which the actual data
-// structures and reclamation schemes execute with explicit cycle costs.
+// fences and no portable relaxed stores, so the repository carries two
+// substitutes (README.md, "Hazard-pointer publication and the rooster"):
+// internal/tso, a small model checker that explores interleavings of
+// hand-written litmus programs, and this package, a full machine on which
+// the actual data structures and reclamation schemes execute with explicit
+// cycle costs.
 //
 // The machine model:
 //

@@ -3,9 +3,10 @@
 // fixed-size nodes, handed out as generation-tagged mem.Refs.
 //
 // It plays the same role for simulated programs that internal/mem plays for
-// native ones (DESIGN.md §2): Free really recycles the slot, and any access
-// through a stale Ref panics with *mem.Violation — the simulator's
-// segmentation fault, which Machine.Run reports as a proc error. Node
+// native ones (README.md, "Hazard-pointer publication and the rooster"):
+// Free really recycles the slot, and any access through a stale Ref panics
+// with *mem.Violation — the simulator's segmentation fault, which
+// Machine.Run reports as a proc error. Node
 // *fields* live in simulated memory, so field accesses go through the
 // proc's store buffer and carry cycle costs; the allocator's own metadata
 // (free list, generations) is host-side bookkeeping, charged via the

@@ -10,6 +10,9 @@ package tso
 //	CellHP      — the reader's hazard pointer slot.
 //	CellValid   — n's allocation state: 1 allocated, 0 freed.
 //	CellRooster — rooster pass counter (Cadence variants).
+//	CellShared  — the scan-visible copy of the hazard pointer (membarrier
+//	              variants): the reader publishes into CellHP, its pending
+//	              slot, and only a rooster flush copies it here.
 //
 // The reader is process 0, the deleter process 1, the rooster (when
 // present) process 2.
@@ -24,6 +27,7 @@ const (
 	CellHP
 	CellValid
 	CellRooster
+	CellShared
 	memSize
 )
 
@@ -74,8 +78,9 @@ func deleterImmediate() Program {
 // after a complete rooster pass that began after the removal (§5.1,
 // Figure 4). The model's branch set dispatches on the possible stamps; a
 // stamp too late for the rooster's four passes simply never frees (the
-// model checks safety, not progress).
-func deleterDeferred() Program {
+// model checks safety, not progress). scanCell is the hazard pointer cell
+// the scan reads.
+func deleterDeferred(scanCell int) Program {
 	const scan = 16
 	const end = 20
 	return Program{
@@ -95,7 +100,7 @@ func deleterDeferred() Program {
 		/* 13 */ Load(2, CellRooster),
 		/* 14 */ JmpIfNe(2, 4, 13),
 		/* 15 */ JmpIfNe(1, 99, scan),
-		/* 16 */ Load(0, CellHP), // scan (shared memory is now conclusive)
+		/* 16 */ Load(0, scanCell), // scan (shared memory is now conclusive)
 		/* 17 */ JmpIfEq(0, 1, end), // protected: keep
 		/* 18 */ Store(CellValid, 0), // free n
 		/* 19 */ Fence(),
@@ -109,6 +114,26 @@ func roosterProgram(passes int) Program {
 	for i := 1; i <= passes; i++ {
 		p = append(p,
 			FlushOther(ProcReader),
+			Store(CellRooster, uint64(i)),
+			Fence(),
+		)
+	}
+	return p
+}
+
+// roosterMembarrierProgram performs `passes` passes of the implementation's
+// rooster: a process-wide barrier (fence.Heavy, when barrier is set), a
+// flush copying the reader's pending slot into the shared slot scans read,
+// then the tick.
+func roosterMembarrierProgram(passes int, barrier bool) Program {
+	var p Program
+	for i := 1; i <= passes; i++ {
+		if barrier {
+			p = append(p, Membarrier())
+		}
+		p = append(p,
+			Load(0, CellHP),         // flush: read the pending slot
+			StoreReg(CellShared, 0), // ... into the shared slot
 			Store(CellRooster, uint64(i)),
 			Fence(),
 		)
@@ -148,7 +173,33 @@ func ClassicHPSystem() System {
 // rooster passes (Algorithm 3).
 func CadenceSystem() System {
 	return System{
-		Procs:   []Program{readerProgram(false), deleterDeferred(), roosterProgram(4)},
+		Procs:   []Program{readerProgram(false), deleterDeferred(CellHP), roosterProgram(4)},
+		MemSize: memSize,
+		Init:    baseInit(),
+	}
+}
+
+// CadenceMembarrierSystem is Cadence as the implementation runs it with
+// asymmetric publication: the reader's hazard pointer is a plain, unfenced
+// store into its pending slot; each rooster pass issues one membarrier,
+// copies pending into the shared slot and ticks; the deleter scans the
+// shared slot once its stamp is two ticks old. Pass s+2 begins after the
+// removal, so its barrier drains the reader's publication and its copy
+// carries it into the shared slot before the tick the deleter waits for.
+func CadenceMembarrierSystem() System {
+	return System{
+		Procs:   []Program{readerProgram(false), deleterDeferred(CellShared), roosterMembarrierProgram(4, true)},
+		MemSize: memSize,
+		Init:    baseInit(),
+	}
+}
+
+// CadenceNoMembarrierSystem is the ablation of CadenceMembarrierSystem
+// whose passes only copy and tick: nothing drains the reader's buffer, so
+// a pass can copy a pending slot the publication has not reached yet.
+func CadenceNoMembarrierSystem() System {
+	return System{
+		Procs:   []Program{readerProgram(false), deleterDeferred(CellShared), roosterMembarrierProgram(4, false)},
 		MemSize: memSize,
 		Init:    baseInit(),
 	}

@@ -8,7 +8,9 @@
 // does FlushOther, the model's context switch, which drains a *victim*
 // process's buffer: exactly what the paper's rooster processes rely on
 // ("a context switch implies a memory barrier for the process being
-// switched out", §5.1).
+// switched out", §5.1). Membarrier is the process-wide form the
+// implementation's rooster uses (membarrier(2)): it drains every process's
+// buffer at once.
 //
 // The exhaustive explorer enumerates every interleaving of process steps
 // and buffer drains (with state memoization), so a property that holds in
@@ -34,6 +36,7 @@ const (
 	OpFence                    // drain own buffer
 	OpCAS                      // drain; if mem[Addr]==Imm { mem[Addr]=Imm2; regs[Dst]=1 } else regs[Dst]=0
 	OpFlushOther               // drain process Victim's buffer (context switch)
+	OpMembarrier               // drain every process's buffer (membarrier(2))
 	OpJmpIfEq                  // if regs[Src]==Imm -> pc=Target
 	OpJmpIfNe                  // if regs[Src]!=Imm -> pc=Target
 )
@@ -59,6 +62,7 @@ func CAS(addr int, old, new uint64, dst int) Op {
 	return Op{Kind: OpCAS, Addr: addr, Imm: old, Imm2: new, Dst: dst}
 }
 func FlushOther(victim int) Op             { return Op{Kind: OpFlushOther, Victim: victim} }
+func Membarrier() Op                       { return Op{Kind: OpMembarrier} }
 func JmpIfEq(src int, v uint64, pc int) Op { return Op{Kind: OpJmpIfEq, Src: src, Imm: v, Target: pc} }
 func JmpIfNe(src int, v uint64, pc int) Op { return Op{Kind: OpJmpIfNe, Src: src, Imm: v, Target: pc} }
 
@@ -165,6 +169,13 @@ func (s *state) step(sys *System, p int) bool {
 		}
 	case OpFlushOther:
 		s.drainAll(op.Victim)
+	case OpMembarrier:
+		// A full barrier on every CPU running the process: every other
+		// process's buffer drains, and the caller's own, since entering
+		// the kernel serializes it.
+		for q := range s.bufs {
+			s.drainAll(q)
+		}
 	case OpJmpIfEq:
 		if s.regs[p][op.Src] == op.Imm {
 			next = op.Target

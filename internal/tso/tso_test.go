@@ -115,6 +115,31 @@ func TestFlushOtherDrainsVictim(t *testing.T) {
 	}
 }
 
+// TestMembarrierDrainsEveryone: the process-wide barrier publishes every
+// process's buffered stores, the caller's included.
+func TestMembarrierDrainsEveryone(t *testing.T) {
+	sys := System{
+		Procs:   []Program{{Store(0, 1)}, {Store(1, 2)}, {Store(2, 3), Membarrier()}},
+		MemSize: 3,
+	}
+	s := newState(&sys)
+	for p := range sys.Procs {
+		s.step(&sys, p) // every process buffers its store
+	}
+	if s.mem[0] != 0 || s.mem[1] != 0 || s.mem[2] != 0 {
+		t.Fatal("stores must sit in the buffers, not memory")
+	}
+	s.step(&sys, 2) // the barrier
+	if s.mem[0] != 1 || s.mem[1] != 2 || s.mem[2] != 3 {
+		t.Fatalf("Membarrier left stores buffered: mem %v", s.mem)
+	}
+	for p := range s.bufs {
+		if len(s.bufs[p]) != 0 {
+			t.Fatalf("process %d buffer not drained", p)
+		}
+	}
+}
+
 // --- the paper's §4.1 scenario ---
 
 // TestAlgorithm2NaiveHybridUnsafe reproduces the paper's illegal
@@ -170,6 +195,36 @@ func TestCadenceWithoutDeferralUnsafe(t *testing.T) {
 	}
 	if !out.Any(UseAfterFree) {
 		t.Fatal("without deferral the rooster alone cannot make unfenced HPs safe")
+	}
+}
+
+// TestCadenceMembarrierSafe: the implementation's asymmetric mode — a
+// plain hazard-pointer store, rooster passes of one membarrier plus a
+// pending-to-shared copy plus a tick, scans of the shared slot after two
+// ticks — is safe in every interleaving, and still reclaims in some.
+func TestCadenceMembarrierSafe(t *testing.T) {
+	out, complete := Explore(CadenceMembarrierSystem(), 1<<22)
+	if !complete {
+		t.Fatal("exploration incomplete; raise the state limit")
+	}
+	if out.Any(UseAfterFree) {
+		t.Fatal("Cadence with one membarrier per pass must be safe under TSO")
+	}
+	if !out.Any(func(o Outcome) bool { return o.Mem[CellValid] == 0 }) {
+		t.Fatal("membarrier model never reclaims")
+	}
+}
+
+// TestCadenceNoMembarrierUnsafe: the same passes without the barrier copy
+// a pending slot the reader's publication has not reached — the barrier
+// is load-bearing.
+func TestCadenceNoMembarrierUnsafe(t *testing.T) {
+	out, complete := Explore(CadenceNoMembarrierSystem(), 1<<22)
+	if !complete {
+		t.Fatal("exploration incomplete")
+	}
+	if !out.Any(UseAfterFree) {
+		t.Fatal("passes that only copy and tick cannot make plain-store HPs safe")
 	}
 }
 

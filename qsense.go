@@ -402,6 +402,13 @@ type Stats struct {
 	// RoosterPasses counts completed rooster flush passes (Cadence,
 	// QSense).
 	RoosterPasses uint64
+	// AsymmetricPublication reports how Cadence and QSense publish their
+	// fence-free hazard pointers: true when they are plain stores that
+	// each rooster pass makes visible with one process-wide membarrier
+	// (linux/amd64 builds without -race, where the kernel accepts the
+	// registration), false when they are atomic stores. The process
+	// fixes the mode at start-up. Always false on the other schemes.
+	AsymmetricPublication bool
 	// IBRIntervalWidth is the widest active reservation interval
 	// (upper−lower, in eras) across live workers at snapshot time — how
 	// far SchemeIBR's slowest in-flight operation lags the era clock, and
@@ -426,38 +433,39 @@ type Stats struct {
 
 func fromReclaimStats(s reclaim.Stats) Stats {
 	return Stats{
-		Scheme:             s.Scheme,
-		Retired:            s.Retired,
-		Freed:              s.Freed,
-		Pending:            s.Pending,
-		Scans:              s.Scans,
-		ScannedRecords:     s.ScannedRecords,
-		QuiescentStates:    s.QuiescentStates,
-		EpochAdvances:      s.EpochAdvances,
-		SwitchesToFallback: s.SwitchesToFallback,
-		SwitchesToFast:     s.SwitchesToFast,
-		InFallback:         s.InFallback,
-		Evictions:          s.Evictions,
-		Rejoins:            s.Rejoins,
-		AcquiredHandles:    s.AcquiredHandles,
-		ReleasedHandles:    s.ReleasedHandles,
-		OrphanedNodes:      s.OrphanedNodes,
-		AdoptedNodes:       s.AdoptedNodes,
-		ArenaSize:          s.ArenaSize,
-		HighWaterWorkers:   s.HighWaterWorkers,
-		ArenaGrowths:       s.ArenaGrowths,
-		ParkedSlots:        s.ParkedSlots,
-		SegmentParks:       s.SegmentParks,
-		SegmentUnparks:     s.SegmentUnparks,
-		EffectiveR:         s.EffectiveR,
-		EffectiveC:         s.EffectiveC,
-		RRetunes:           s.RRetunes,
-		CRetunes:           s.CRetunes,
-		RoosterPasses:      s.RoosterPasses,
-		IBRIntervalWidth:   s.IBRIntervalWidth,
-		HyalineBatchRefs:   s.HyalineBatchRefs,
-		Shards:             s.Shards,
-		ShardImbalance:     s.ShardImbalance,
-		Failed:             s.Failed,
+		Scheme:                s.Scheme,
+		Retired:               s.Retired,
+		Freed:                 s.Freed,
+		Pending:               s.Pending,
+		Scans:                 s.Scans,
+		ScannedRecords:        s.ScannedRecords,
+		QuiescentStates:       s.QuiescentStates,
+		EpochAdvances:         s.EpochAdvances,
+		SwitchesToFallback:    s.SwitchesToFallback,
+		SwitchesToFast:        s.SwitchesToFast,
+		InFallback:            s.InFallback,
+		Evictions:             s.Evictions,
+		Rejoins:               s.Rejoins,
+		AcquiredHandles:       s.AcquiredHandles,
+		ReleasedHandles:       s.ReleasedHandles,
+		OrphanedNodes:         s.OrphanedNodes,
+		AdoptedNodes:          s.AdoptedNodes,
+		ArenaSize:             s.ArenaSize,
+		HighWaterWorkers:      s.HighWaterWorkers,
+		ArenaGrowths:          s.ArenaGrowths,
+		ParkedSlots:           s.ParkedSlots,
+		SegmentParks:          s.SegmentParks,
+		SegmentUnparks:        s.SegmentUnparks,
+		EffectiveR:            s.EffectiveR,
+		EffectiveC:            s.EffectiveC,
+		RRetunes:              s.RRetunes,
+		CRetunes:              s.CRetunes,
+		RoosterPasses:         s.RoosterPasses,
+		AsymmetricPublication: s.AsymmetricPublication,
+		IBRIntervalWidth:      s.IBRIntervalWidth,
+		HyalineBatchRefs:      s.HyalineBatchRefs,
+		Shards:                s.Shards,
+		ShardImbalance:        s.ShardImbalance,
+		Failed:                s.Failed,
 	}
 }
